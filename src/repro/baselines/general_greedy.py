@@ -10,37 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.simulate import _spread_once
+from repro.baselines.simulate import spread_counts
 from repro.graphs.csr import CSR
-from repro.hashing import SALT_SIM
 
 
 def general_greedy(
     csr: CSR, probs: np.ndarray, *, k: int, n_sims: int, sim_offset: int = 0
 ) -> list[int]:
     """k seeds by MC greedy; ties broken by smaller vertex id."""
+    sims = sim_offset + np.arange(n_sims)
     seeds: list[int] = []
     for _ in range(k):
-        base = (
-            sum(
-                _spread_once(
-                    csr, probs, np.asarray(seeds, dtype=np.int64),
-                    SALT_SIM + sim_offset + i,
-                )
-                for i in range(n_sims)
-            )
-            if seeds
-            else 0
-        )
+        base = int(spread_counts(csr, probs, seeds, sims).sum())
         best_v, best_gain = -1, -np.inf
         for v in range(csr.n):
             if v in seeds:
                 continue
-            cand = np.asarray(seeds + [v], dtype=np.int64)
-            tot = sum(
-                _spread_once(csr, probs, cand, SALT_SIM + sim_offset + i)
-                for i in range(n_sims)
-            )
+            tot = int(spread_counts(csr, probs, seeds + [v], sims).sum())
             gain = (tot - base) / n_sims
             if gain > best_gain:  # strict: first (smallest id) wins ties
                 best_v, best_gain = v, gain

@@ -10,7 +10,9 @@ what each distributed task computes here.
 θ follows the TIM recipe θ = λ(ε)/OPT̂ with a pilot-phase OPT estimate.
 RR storage is accounted per entry; when the projected storage exceeds
 the budget the run aborts with :class:`RRBudgetExceeded` — the analog
-of Ripples' out-of-memory '-' entries in paper Tab. 4.
+of Ripples' out-of-memory '-' entries in paper Tab. 4. RR sets are
+root lanes of the shared sampled-BFS kernel
+(:func:`repro.cc.local_cc.sampled_bfs`).
 """
 from __future__ import annotations
 
@@ -22,54 +24,47 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.cc.local_cc import LANE_BLOCK, sampled_bfs
 from repro.eval.space import ris_bytes
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_RR, u01
+from repro.sparkjob import job_description
 
 
 class RRBudgetExceeded(RuntimeError):
     """Projected RR-set storage exceeds the experiment's memory budget."""
 
 
-def _rr_root(i: int, offset: int, n: int) -> int:
-    """Deterministic uniform random root for RR set i."""
-    return int(u01(np.uint64(i), SALT_RR + offset + 0xBEEF) * n)
+def _rr_root(i: np.ndarray | int, offset: int, n: int) -> np.ndarray:
+    """Deterministic uniform random root of each RR set id ``i``."""
+    ids = np.asarray(i, dtype=np.uint64)
+    return (u01(ids, SALT_RR + offset + 0xBEEF) * n).astype(np.int64)
 
 
-def _rr_set(csr: CSR, probs: np.ndarray, salt: int, root: int) -> np.ndarray:
-    """The RR set of ``root``: its CC in one live-edge sample."""
-    visited = np.zeros(csr.n, dtype=bool)
-    visited[root] = True
-    frontier = np.array([root], dtype=np.int64)
-    members = [frontier]
-    indptr, adj, arc_key = csr.indptr, csr.adj, csr.arc_key
-    while frontier.size:
-        arc_idx = np.concatenate(
-            [np.arange(indptr[f], indptr[f + 1]) for f in frontier]
+def rr_sets(
+    csr: CSR, probs: np.ndarray, ids: np.ndarray, offset: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rr_id, member) pairs of the RR sets ``ids``: each root's CC in
+    the live-edge sample of its own salt, one kernel lane per root."""
+    ids = np.asarray(ids, dtype=np.int64)
+    rr, members = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(ids), LANE_BLOCK):
+        block = ids[lo:lo + LANE_BLOCK]
+        keys, _ = sampled_bfs(
+            csr, probs, np.arange(len(block)), _rr_root(block, offset, csr.n),
+            SALT_RR + offset + block,
         )
-        if arc_idx.size == 0:
-            break
-        alive = u01(arc_key[arc_idx], salt) < probs[arc_idx]
-        nbrs = adj[arc_idx[alive]]
-        nbrs = nbrs[~visited[nbrs]]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs).astype(np.int64)
-        visited[frontier] = True
-        members.append(frontier)
-    return np.concatenate(members)
+        lane, v = np.divmod(keys, csr.n)
+        rr.append(block[lane])
+        members.append(v)
+    return np.concatenate(rr), np.concatenate(members)
 
 
 def generate_rr_sets_local(
     csr: CSR, probs: np.ndarray, theta: int, *, offset: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rr_id, member) arrays for θ RR sets, driver-side."""
-    ids, members = [], []
-    for i in range(theta):
-        rr = _rr_set(csr, probs, SALT_RR + offset + i, _rr_root(i, offset, csr.n))
-        ids.append(np.full(len(rr), i, dtype=np.int64))
-        members.append(rr)
-    return np.concatenate(ids), np.concatenate(members)
+    return rr_sets(csr, probs, np.arange(theta), offset)
 
 
 def generate_rr_sets(
@@ -81,24 +76,15 @@ def generate_rr_sets(
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         csr_b, probs_b = bc.value
         for pdf in batches:
-            ids, members = [], []
-            for i in pdf["id"].astype(int):
-                rr = _rr_set(
-                    csr_b, probs_b, SALT_RR + offset + i,
-                    _rr_root(i, offset, csr_b.n),
-                )
-                ids.append(np.full(len(rr), i, dtype=np.int64))
-                members.append(rr.astype(np.int64))
-            if ids:
-                yield pd.DataFrame(
-                    {"rr": np.concatenate(ids), "v": np.concatenate(members)}
-                )
+            rr, v = rr_sets(csr_b, probs_b, pdf["id"].to_numpy(), offset)
+            yield pd.DataFrame({"rr": rr, "v": v})
 
-    out = (
-        spark.range(theta)  # range already spreads ids over the cores
-        .mapInPandas(kernel, schema="rr long, v long")
-        .toPandas()
-    )
+    with job_description(spark, f"RIS: {theta} RR sets from id {offset}"):
+        out = (
+            spark.range(theta)  # range already spreads ids over the cores
+            .mapInPandas(kernel, schema="rr long, v long")
+            .toPandas()
+        )
     return out["rr"].to_numpy(), out["v"].to_numpy()
 
 

@@ -5,7 +5,8 @@ stream ``SALT_SIM`` — disjoint from the sketch stream, so evaluating a
 seed set never reuses the coins that selected it) and BFS-counts the
 vertices reachable from S. On undirected graphs this is exactly the IC
 process outcome: a vertex activates iff a live path connects it to a
-seed.
+seed. Simulations are lanes of the shared sampled-BFS kernel
+(:func:`repro.cc.local_cc.sampled_bfs`), each lane sourced at every seed.
 
 ``estimate_spread`` distributes the simulations (one Spark task per
 block of simulation ids); ``estimate_spread_local`` is the driver-side
@@ -19,34 +20,29 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.cc.local_cc import LANE_BLOCK, sampled_bfs
 from repro.graphs.csr import CSR
-from repro.hashing import SALT_SIM, u01
+from repro.hashing import SALT_SIM
+from repro.sparkjob import job_description
 
 
-def _spread_once(
-    csr: CSR, probs: np.ndarray, seeds: np.ndarray, salt: int
-) -> int:
-    """#vertices activated from ``seeds`` in one sampled live-edge graph."""
-    visited = np.zeros(csr.n, dtype=bool)
-    visited[seeds] = True
-    frontier = np.unique(seeds)
-    count = len(frontier)
-    indptr, adj, arc_key = csr.indptr, csr.adj, csr.arc_key
-    while frontier.size:
-        arc_idx = np.concatenate(
-            [np.arange(indptr[f], indptr[f + 1]) for f in frontier]
+def spread_counts(
+    csr: CSR, probs: np.ndarray, seeds: np.ndarray, sim_ids: np.ndarray
+) -> np.ndarray:
+    """#vertices activated from ``seeds`` in the live-edge graph of each
+    simulation id."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    sim_ids = np.asarray(sim_ids, dtype=np.int64)
+    counts = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(sim_ids), LANE_BLOCK):
+        salts = SALT_SIM + sim_ids[lo:lo + LANE_BLOCK]
+        L = len(salts)
+        keys, _ = sampled_bfs(
+            csr, probs, np.repeat(np.arange(L), len(seeds)),
+            np.tile(seeds, L), salts,
         )
-        if arc_idx.size == 0:
-            break
-        alive = u01(arc_key[arc_idx], salt) < probs[arc_idx]
-        nbrs = adj[arc_idx[alive]]
-        nbrs = nbrs[~visited[nbrs]]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs).astype(np.int64)
-        visited[frontier] = True
-        count += len(frontier)
-    return count
+        counts.append(np.bincount(keys // csr.n, minlength=L))
+    return np.concatenate(counts)
 
 
 def estimate_spread_local(
@@ -61,11 +57,8 @@ def estimate_spread_local(
     seeds = np.asarray(list(seeds), dtype=np.int64)
     if seeds.size == 0:
         return 0.0
-    total = sum(
-        _spread_once(csr, probs, seeds, SALT_SIM + sim_offset + i)
-        for i in range(n_sims)
-    )
-    return total / n_sims
+    sims = sim_offset + np.arange(n_sims)
+    return int(spread_counts(csr, probs, seeds, sims).sum()) / n_sims
 
 
 def estimate_spread(
@@ -86,15 +79,15 @@ def estimate_spread(
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         csr_b, probs_b = bc.value
         for pdf in batches:
-            counts = [
-                _spread_once(csr_b, probs_b, seeds, SALT_SIM + sim_offset + int(i))
-                for i in pdf["id"]
-            ]
-            yield pd.DataFrame({"spread": counts})
+            sims = sim_offset + pdf["id"].to_numpy()
+            yield pd.DataFrame({"spread": spread_counts(csr_b, probs_b, seeds, sims)})
 
-    out = (
-        spark.range(n_sims)  # range already spreads ids over the cores
-        .mapInPandas(kernel, schema="spread long")
-        .toPandas()
-    )
+    with job_description(
+        spark, f"MC spread oracle: {n_sims} simulations of {len(seeds)} seeds"
+    ):
+        out = (
+            spark.range(n_sims)  # range already spreads ids over the cores
+            .mapInPandas(kernel, schema="spread long")
+            .toPandas()
+        )
     return float(out["spread"].mean())

@@ -1,8 +1,9 @@
 """Parallel-connectivity substrate (the paper uses ConnectIt [27]).
 
-``local_cc`` is the vectorized numpy kernel used inside per-sketch Spark
-tasks; ``dataframe_cc`` is a fully distributed DataFrame implementation
-for graphs that outgrow a driver-side CSR.
+``local_cc`` holds the vectorized numpy kernels used inside Spark tasks
+(CC labels per sketch, and the sampled-BFS lane kernel);
+``dataframe_cc`` is a fully distributed DataFrame implementation for
+graphs that outgrow a driver-side CSR.
 """
-from repro.cc.local_cc import bfs_component, cc_labels, cc_sizes  # noqa: F401
+from repro.cc.local_cc import cc_labels, cc_sizes, sampled_bfs  # noqa: F401
 from repro.cc.dataframe_cc import dataframe_cc  # noqa: F401

@@ -1,25 +1,29 @@
 """Marginal-gain evaluation (paper Alg. 3: GetCenter / Marginal / MarkSeed).
 
-``get_center`` runs the local BFS simulation on the hash-reconstructed
-sampled graph G'_r: it stops as soon as a center is reached (and returns
-the memoized CC size for that center's label), returns 0 if the CC turns
-out to contain a seed, and otherwise returns the number of vertices it
-exhaustively visited (= the CC size). Expected visits are
-O(min(T, 1/α)) per sketch (Thm. 3.1).
+``get_centers`` runs GetCenter for a batch of (vertex, sketch) pairs as
+lanes of the shared sampled-BFS kernel
+(:func:`repro.cc.local_cc.sampled_bfs`), which advances every lane one
+BFS wave per numpy step on its hash-reconstructed sampled graph G'_r.
+A lane stops at the first wave that reaches a center and returns the
+memoized CC size for that center's label. A lane that exhausts its CC
+returns 0 if the CC holds a seed and otherwise the number of vertices
+it visited (= the CC size). Expected visits are O(min(T, 1/α)) per
+sketch (Thm. 3.1), and nothing a batch allocates grows with n.
 
-Two evaluators share this kernel:
+Two evaluators call it:
 
 - :class:`LocalEvaluator` — driver-side numpy; used where only
   *evaluation counts* matter (Table 5) and in unit tests;
 - :class:`SparkEvaluator` — one Spark job per evaluation **batch**: the
-  batch explodes into (vertex, sketch) rows, a ``mapInPandas`` kernel
-  evaluates them against the broadcast CSR + sketches, and the driver
-  averages per vertex. A 1-vertex batch is still a job — that is exactly
-  the sequential-CELF cost model of the baselines (DESIGN.md §2).
+  batch explodes into (vertex, sketch) rows, a ``mapInPandas`` task runs
+  ``get_centers`` over its rows against the broadcast CSR + sketches,
+  and the driver averages per vertex. A 1-vertex batch is still a job —
+  that is exactly the sequential-CELF cost model of the baselines
+  (DESIGN.md §2).
 
-``MarkSeed`` always runs on the driver (it is O(R) tiny BFS runs) and
-its effect is shipped to tasks as a small set of zeroed (sketch, label)
-pairs, so the broadcast sketch arrays stay immutable.
+``MarkSeed`` always runs on the driver (``get_centers`` over R lanes)
+and its effect is shipped to tasks as a small array of zeroed
+``r·ρ + label`` keys, so the broadcast sketch arrays stay immutable.
 """
 from __future__ import annotations
 
@@ -29,9 +33,65 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.cc.local_cc import LANE_BLOCK, sampled_bfs
 from repro.core.sketches import Sketches
 from repro.graphs.csr import CSR
-from repro.hashing import SALT_SKETCH, u01
+from repro.hashing import SALT_SKETCH, u01  # noqa: F401  (u01 stays importable here)
+from repro.sparkjob import job_description
+
+_NO_KEYS = np.empty(0, dtype=np.int64)
+
+
+def get_centers(
+    csr: CSR,
+    probs: np.ndarray,
+    center_index: np.ndarray,
+    labels: np.ndarray,
+    sizes: np.ndarray,
+    vs: np.ndarray,
+    rs: np.ndarray,
+    seeds_mask: np.ndarray,
+    zeroed: np.ndarray = _NO_KEYS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per pair i: (marginal δ of ``vs[i]`` on sketch ``rs[i]``, CC label
+    or -1, #BFS visits).
+
+    ``sizes`` may already have zeroed entries (LocalEvaluator mutates its
+    copy in place); ``zeroed`` holds ``r·ρ + label`` keys additionally
+    zeroed since the arrays were broadcast (SparkEvaluator path).
+    """
+    vs = np.asarray(vs, dtype=np.int64)
+    rs = np.asarray(rs, dtype=np.int64)
+    parts = [
+        _get_center_lanes(csr, probs, center_index, labels, sizes,
+                          vs[lo:lo + LANE_BLOCK], rs[lo:lo + LANE_BLOCK],
+                          seeds_mask, zeroed)
+        for lo in range(0, len(vs), LANE_BLOCK)
+    ]
+    if not parts:
+        return _NO_KEYS, _NO_KEYS, _NO_KEYS
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def _get_center_lanes(csr, probs, center_index, labels, sizes, vs, rs,
+                      seeds_mask, zeroed):
+    L = len(vs)
+    keys, hit = sampled_bfs(
+        csr, probs, np.arange(L), vs, SALT_SKETCH + rs,
+        stop=lambda x: center_index[x] >= 0,
+    )
+    lane, vert = np.divmod(keys, csr.n)
+    visits = np.bincount(lane, minlength=L)
+    # a lane that exhausts its CC gains its size, or nothing if a seed is in it
+    seeded = np.bincount(lane[seeds_mask[vert]], minlength=L) > 0
+    delta = np.where(seeded, 0, visits)
+    label = np.full(L, -1, dtype=np.int64)
+    at = hit >= 0  # reached a center: adopt its memoized CC info
+    r, lab = rs[at], labels[rs[at], center_index[hit[at]]].astype(np.int64)
+    label[at] = lab
+    zero = np.isin(r * labels.shape[1] + lab, zeroed)
+    delta[at] = np.where(zero, 0, sizes[r, lab])
+    return delta, label, visits
 
 
 def get_center(
@@ -45,74 +105,14 @@ def get_center(
     seeds_mask: np.ndarray,
     zeroed_r: set[int] | frozenset[int],
 ) -> tuple[int, int, int]:
-    """(marginal δ of v on sketch r, CC label or -1, #BFS visits).
-
-    ``sizes`` may already have zeroed entries (LocalEvaluator mutates its
-    copy in place); ``zeroed_r`` additionally overrides labels zeroed
-    since the arrays were broadcast (SparkEvaluator path).
-    """
-    salt = SALT_SKETCH + r
-    ci = center_index[v]
-    if ci >= 0:  # v itself memoizes its CC — O(1), the α=1 fast path
-        lab = int(labels[r, ci])
-        delta = 0 if lab in zeroed_r else int(sizes[r, lab])
-        return delta, lab, 1
-    visited = np.zeros(csr.n, dtype=bool)
-    visited[v] = True
-    frontier = np.array([v], dtype=np.int64)
-    n_visited = 1
-    seed_seen = bool(seeds_mask[v])
-    indptr, adj, arc_key = csr.indptr, csr.adj, csr.arc_key
-    while frontier.size:
-        arc_idx = np.concatenate(
-            [np.arange(indptr[f], indptr[f + 1]) for f in frontier]
-        )
-        if arc_idx.size == 0:
-            break
-        alive = u01(arc_key[arc_idx], salt) < probs[arc_idx]
-        nbrs = adj[arc_idx[alive]]
-        nbrs = nbrs[~visited[nbrs]]
-        if nbrs.size == 0:
-            break
-        fresh = np.unique(nbrs).astype(np.int64)
-        visited[fresh] = True
-        n_visited += len(fresh)
-        cis = center_index[fresh]
-        hits = cis[cis >= 0]
-        if hits.size:  # a center is reached: adopt its memoized CC info
-            lab = int(labels[r, hits[0]])
-            delta = 0 if lab in zeroed_r else int(sizes[r, lab])
-            return delta, lab, n_visited
-        if not seed_seen and seeds_mask[fresh].any():
-            seed_seen = True
-        frontier = fresh
-    if seed_seen:  # whole CC traversed, a seed is inside: no gain
-        return 0, -1, n_visited
-    return n_visited, -1, n_visited  # CC size = #visited (no center, no seed)
-
-
-def _eval_pairs(
-    csr: CSR,
-    probs: np.ndarray,
-    sk: Sketches,
-    sizes: np.ndarray,
-    vs: np.ndarray,
-    rs: np.ndarray,
-    seeds_mask: np.ndarray,
-    zeroed: dict[int, frozenset[int]],
-) -> tuple[np.ndarray, int]:
-    """δ for each (v, r) pair; returns (deltas, total BFS visits)."""
-    out = np.zeros(len(vs), dtype=np.float64)
-    visits = 0
-    empty: frozenset[int] = frozenset()
-    for i, (v, r) in enumerate(zip(vs, rs)):
-        d, _, nv = get_center(
-            csr, probs, sk.center_index, sk.labels, sizes,
-            int(r), int(v), seeds_mask, zeroed.get(int(r), empty),
-        )
-        out[i] = d
-        visits += nv
-    return out, visits
+    """:func:`get_centers` for one pair: (δ of v on sketch r, CC label or
+    -1, #BFS visits); ``zeroed_r`` holds the labels of sketch r zeroed
+    since the arrays were broadcast."""
+    rho = labels.shape[1]
+    zeroed = np.array([r * rho + lab for lab in zeroed_r], dtype=np.int64)
+    d, lab, nv = get_centers(csr, probs, center_index, labels, sizes,
+                             [v], [r], seeds_mask, zeroed)
+    return int(d[0]), int(lab[0]), int(nv[0])
 
 
 class LocalEvaluator:
@@ -121,6 +121,7 @@ class LocalEvaluator:
     Counters: ``n_reevals`` (total vertices re-evaluated — the paper's
     Table 5 quantity), ``n_jobs`` (evaluation batches — the parallel-
     rounds / span proxy), ``n_visits`` (BFS visits — Thm. 3.1 quantity).
+    ``zeroed`` holds the ``r·ρ + label`` key of every CC MarkSeed zeroed.
     """
 
     def __init__(self, csr: CSR, probs: np.ndarray, sketches: Sketches):
@@ -130,7 +131,7 @@ class LocalEvaluator:
         self.sizes = sketches.sizes.copy()
         self.seeds: list[int] = []
         self.seeds_mask = np.zeros(csr.n, dtype=bool)
-        self.zeroed: dict[int, set[int]] = {}
+        self.zeroed = _NO_KEYS
         self.n_reevals = 0
         self.n_jobs = 0
         self.n_visits = 0
@@ -146,6 +147,11 @@ class LocalEvaluator:
     def _full_memo(self) -> bool:
         return self.sk.rho == self.csr.n
 
+    def _lanes(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(v, r) pairs of a batch, vertex-major: R lanes per vertex."""
+        R = self.sk.R
+        return np.repeat(vs, R), np.tile(np.arange(R), len(vs))
+
     def evaluate(self, vs: np.ndarray) -> np.ndarray:
         """True marginal gains of a batch; one parallel round."""
         vs = np.asarray(vs, dtype=np.int64)
@@ -157,13 +163,11 @@ class LocalEvaluator:
             vals = self.sizes[np.arange(self.sk.R)[:, None], labs]
             self.n_visits += vals.size
             return vals.mean(axis=0)
-        rs = np.tile(np.arange(self.sk.R), len(vs))
-        vv = np.repeat(vs, self.sk.R)
-        deltas, nv = _eval_pairs(
-            self.csr, self.probs, self.sk, self.sizes,
-            vv, rs, self.seeds_mask, {},
+        deltas, _, visits = get_centers(
+            self.csr, self.probs, self.sk.center_index, self.sk.labels,
+            self.sizes, *self._lanes(vs), self.seeds_mask,
         )
-        self.n_visits += nv
+        self.n_visits += int(visits.sum())
         return deltas.reshape(len(vs), self.sk.R).mean(axis=1)
 
     def mark_seed(self, v: int) -> None:
@@ -171,16 +175,15 @@ class LocalEvaluator:
         sketch whose CC has a center; record the zeroed labels so Spark
         tasks (reading the immutable broadcast) can apply the override."""
         v = int(v)
-        empty: frozenset[int] = frozenset()
-        for r in range(self.sk.R):
-            _, lab, nv = get_center(
-                self.csr, self.probs, self.sk.center_index,
-                self.sk.labels, self.sizes, r, v, self.seeds_mask, empty,
-            )
-            self.n_visits += nv
-            if lab >= 0:
-                self.sizes[r, lab] = 0
-                self.zeroed.setdefault(r, set()).add(int(lab))
+        vs, rs = self._lanes(np.array([v]))
+        _, labs, visits = get_centers(
+            self.csr, self.probs, self.sk.center_index, self.sk.labels,
+            self.sizes, vs, rs, self.seeds_mask,
+        )
+        self.n_visits += int(visits.sum())
+        at = labs >= 0
+        self.sizes[rs[at], labs[at]] = 0
+        self.zeroed = np.concatenate((self.zeroed, rs[at] * self.sk.rho + labs[at]))
         self.seeds.append(v)
         self.seeds_mask[v] = True
 
@@ -189,8 +192,8 @@ class SparkEvaluator(LocalEvaluator):
     """Evaluation batches dispatched as Spark jobs over (v, r) rows.
 
     The CSR, probabilities, and pristine sketch arrays are broadcast at
-    construction; per-call state (current seeds, zeroed labels) travels
-    in the task closure — a few hundred integers at most.
+    construction; per-call state (current seeds, zeroed label keys)
+    travels in the task closure — a few hundred integers at most.
     """
 
     def __init__(
@@ -207,42 +210,39 @@ class SparkEvaluator(LocalEvaluator):
         vs = np.asarray(vs, dtype=np.int64)
         self.n_reevals += len(vs)
         self.n_jobs += 1
-        R = self.sk.R
-        pairs = pd.DataFrame(
-            {"v": np.repeat(vs, R), "r": np.tile(np.arange(R), len(vs))}
-        )
+        pv, pr = self._lanes(vs)
+        pairs = pd.DataFrame({"v": pv, "r": pr})
         bc = self._bc
         seeds = np.array(self.seeds, dtype=np.int64)
-        zeroed = {r: frozenset(ls) for r, ls in self.zeroed.items()}
-        sk = self.sk
+        zeroed = self.zeroed
 
         def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
             csr_b, probs_b, cidx_b, labels_b, sizes_b = bc.value
             mask = np.zeros(csr_b.n, dtype=bool)
             mask[seeds] = True
-            empty: frozenset[int] = frozenset()
             for pdf in batches:
-                deltas = np.zeros(len(pdf), dtype=np.float64)
-                visits = np.zeros(len(pdf), dtype=np.int64)
-                for i, (v, r) in enumerate(zip(pdf["v"].values, pdf["r"].values)):
-                    d, _, nv = get_center(
-                        csr_b, probs_b, cidx_b, labels_b, sizes_b,
-                        int(r), int(v), mask, zeroed.get(int(r), empty),
-                    )
-                    deltas[i] = d
-                    visits[i] = nv
+                v = pdf["v"].to_numpy()
+                deltas, _, visits = get_centers(
+                    csr_b, probs_b, cidx_b, labels_b, sizes_b,
+                    v, pdf["r"].to_numpy(), mask, zeroed,
+                )
                 yield pd.DataFrame(
-                    {"v": pdf["v"].values, "delta": deltas, "visits": visits}
+                    {"v": v, "delta": deltas.astype(np.float64), "visits": visits}
                 )
 
         # Arrow-based createDataFrame already splits the pairs across
         # defaultParallelism partitions; an explicit repartition would add
         # a shuffle stage and dominate small-batch latency.
-        out = (
-            self.spark.createDataFrame(pairs)
-            .mapInPandas(kernel, schema="v long, delta double, visits long")
-            .toPandas()
-        )
+        with job_description(
+            self.spark,
+            f"PaC-IM evaluation batch {self.n_jobs}: "
+            f"{len(vs)} vertices, {len(pairs)} (v, r) pairs",
+        ):
+            out = (
+                self.spark.createDataFrame(pairs)
+                .mapInPandas(kernel, schema="v long, delta double, visits long")
+                .toPandas()
+            )
         self.n_visits += int(out["visits"].sum())
         agg = out.groupby("v")["delta"].mean()
         return agg.reindex(vs).to_numpy()

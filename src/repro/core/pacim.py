@@ -34,6 +34,26 @@ _SELECTORS = {
 }
 
 
+def _check_inputs(
+    csr: CSR, probs: np.ndarray, *, R: int, alpha: float, k: int
+) -> None:
+    """Reject inputs the kernels would silently misread, naming the
+    argument."""
+    if len(probs) != len(csr.adj):
+        raise ValueError(
+            f"probs has {len(probs)} entries, the graph has {len(csr.adj)} arcs"
+        )
+    # NaN fails both comparisons, so this one pass also rejects non-finite values
+    if not ((probs >= 0) & (probs <= 1)).all():
+        raise ValueError("probs must be finite and within [0, 1]")
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must be within [0, 1], got {alpha}")
+    if R < 1:
+        raise ValueError(f"R must be at least 1, got {R}")
+    if not 1 <= k <= csr.n:
+        raise ValueError(f"k must be within [1, n={csr.n}], got {k}")
+
+
 def run_pacim(
     spark: SparkSession | None,
     graph: CSR | np.ndarray,
@@ -55,6 +75,7 @@ def run_pacim(
     driver-side (used where only counts matter).
     """
     csr = graph if isinstance(graph, CSR) else build_csr(graph)
+    _check_inputs(csr, probs, R=R, alpha=alpha, k=k)
     if selector not in _SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
     if backend not in ("local", "spark"):

@@ -29,6 +29,7 @@ from pyspark.sql import SparkSession
 from repro.cc.local_cc import cc_labels
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_SKETCH, u01
+from repro.sparkjob import job_description
 
 
 @dataclass
@@ -170,14 +171,17 @@ def build_sketches(
             if rows:
                 yield pd.DataFrame(rows)
 
-    out = (
-        spark.range(R)  # range already spreads ids over defaultParallelism
-        .mapInPandas(
-            kernel,
-            schema="r long, labels array<int>, sizes array<int>, vsizes array<int>",
+    with job_description(
+        spark, f"PaC-IM sketches: R={R}, alpha={alpha}, n={csr.n}, rho={len(centers)}"
+    ):
+        out = (
+            spark.range(R)  # range already spreads ids over defaultParallelism
+            .mapInPandas(
+                kernel,
+                schema="r long, labels array<int>, sizes array<int>, vsizes array<int>",
+            )
+            .toPandas()
         )
-        .toPandas()
-    )
     per = [
         (
             int(row.r),

@@ -43,17 +43,30 @@ def edge_key(u: np.ndarray | int, v: np.ndarray | int) -> np.ndarray:
         return splitmix64((lo << np.uint64(32)) ^ hi)
 
 
-def u01(key: np.ndarray | int, salt: int) -> np.ndarray:
+def salt_mix(salt: np.ndarray | int) -> np.ndarray:
+    """The word ``u01`` xors into every key it hashes under ``salt``.
+
+    A kernel that hashes many keys per salt computes this once per salt
+    and calls :func:`u01_mixed`.
+    """
+    salt = np.asarray(salt, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return splitmix64(salt * _GOLDEN + _GOLDEN)
+
+
+def u01_mixed(key: np.ndarray, mix: np.ndarray) -> np.ndarray:
+    """``u01`` of ``key`` under the salt whose :func:`salt_mix` is ``mix``."""
+    return splitmix64(key ^ mix).astype(np.float64) / _TWO64
+
+
+def u01(key: np.ndarray | int, salt: np.ndarray | int) -> np.ndarray:
     """Uniform [0, 1) double derived from ``key`` and an integer ``salt``.
 
     ``salt`` is the sketch / simulation id (plus a stream offset chosen by
     the caller so sketches, RR sets, and MC simulations never share
     randomness).
     """
-    key = np.asarray(key, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        mixed = splitmix64(key ^ splitmix64(np.uint64(salt) * _GOLDEN + _GOLDEN))
-    return mixed.astype(np.float64) / _TWO64
+    return u01_mixed(np.asarray(key, dtype=np.uint64), salt_mix(salt))
 
 
 # Disjoint salt streams. Each consumer offsets its logical id by one of

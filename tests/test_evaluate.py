@@ -1,9 +1,11 @@
 """Unit tests for GetCenter / Marginal / MarkSeed (paper Alg. 3)."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.cc.local_cc import cc_labels
-from repro.core.evaluate import LocalEvaluator, get_center
+from repro.core.evaluate import LocalEvaluator, get_center, get_centers
 from repro.core.sketches import build_sketches_local, sampled_arcs
 from repro.graphs.csr import build_csr
 from repro.graphs.probs import consistent_probs
@@ -46,42 +48,51 @@ def test_seed_own_marginal_is_zero(er_setup):
 def test_same_cc_as_seed_is_zero(er_setup):
     csr, probs, sk = er_setup
     ev = LocalEvaluator(csr, probs, sk)
-    # Find a vertex sharing v=7's CC on every sketch it is non-trivial in.
+    # Every vertex sharing v=7's CC on a sketch has no gain there.
     ev.mark_seed(7)
+    vs, rs = [], []
     for r in range(sk.R):
-        us, vs = sampled_arcs(csr, probs, SALT_SKETCH + r)
-        lab = cc_labels(csr.n, us, vs)
-        mates = np.flatnonzero(lab == lab[7])
-        for w in mates[:3]:
-            d, _, _ = get_center(
-                csr, probs, sk.center_index, sk.labels, ev.sizes,
-                r, int(w), ev.seeds_mask, frozenset(),
-            )
-            assert d == 0
+        us, vs_ = sampled_arcs(csr, probs, SALT_SKETCH + r)
+        lab = cc_labels(csr.n, us, vs_)
+        mates = np.flatnonzero(lab == lab[7])[:3]
+        vs += mates.tolist()
+        rs += [r] * len(mates)
+    d, _, _ = get_centers(csr, probs, sk.center_index, sk.labels, ev.sizes,
+                          vs, rs, ev.seeds_mask)
+    assert len(d) == len(vs) and (d == 0).all()
+    # the Spark path: pristine sizes plus the zeroed-key override
+    d, _, _ = get_centers(csr, probs, sk.center_index, sk.labels, sk.sizes,
+                          vs, rs, ev.seeds_mask, ev.zeroed)
+    assert (d == 0).all()
 
 
 def test_get_center_label_semantics(er_setup):
     csr, probs, sk = er_setup
-    for r in range(4):
-        us, vs = sampled_arcs(csr, probs, SALT_SKETCH + r)
-        lab = cc_labels(csr.n, us, vs)
-        centers_set = set(sk.centers.tolist())
-        for v in range(0, csr.n, 23):
-            d, l, visits = get_center(
-                csr, probs, sk.center_index, sk.labels, sk.sizes,
-                r, v, np.zeros(csr.n, dtype=bool), frozenset(),
-            )
-            cc = np.flatnonzero(lab == lab[v])
-            has_center = bool(centers_set & set(cc.tolist()))
-            if has_center:
-                assert l >= 0
-                # l is the minimal center index within v's CC.
-                in_cc = [i for i, c in enumerate(sk.centers) if lab[c] == lab[v]]
-                assert l == min(in_cc)
-            else:
-                assert l == -1
-            assert d == len(cc)
-            assert visits <= len(cc)
+    centers_set = set(sk.centers.tolist())
+    vs = np.repeat(np.arange(0, csr.n, 23), 4)
+    rs = np.tile(np.arange(4), len(vs) // 4)
+    no_seeds = np.zeros(csr.n, dtype=bool)
+    ds, ls, nvs = get_centers(csr, probs, sk.center_index, sk.labels,
+                              sk.sizes, vs, rs, no_seeds)
+    for v, r, d, l, visits in zip(vs, rs, ds, ls, nvs):
+        us, vs_ = sampled_arcs(csr, probs, SALT_SKETCH + int(r))
+        lab = cc_labels(csr.n, us, vs_)
+        cc = np.flatnonzero(lab == lab[v])
+        has_center = bool(centers_set & set(cc.tolist()))
+        if has_center:
+            assert l >= 0
+            # l is the minimal center index within v's CC.
+            in_cc = [i for i, c in enumerate(sk.centers) if lab[c] == lab[v]]
+            assert l == min(in_cc)
+        else:
+            assert l == -1
+        assert d == len(cc)
+        assert visits <= len(cc)
+        # the batched lane equals the same pair run alone
+        assert (d, l, visits) == get_center(
+            csr, probs, sk.center_index, sk.labels, sk.sizes,
+            int(r), int(v), no_seeds, frozenset(),
+        )
 
 
 def test_visits_bounded_by_cc_size(er_setup):
@@ -94,14 +105,35 @@ def test_visits_bounded_by_cc_size(er_setup):
     assert per_pair < 3 / sk.alpha
 
 
+def test_batch_memory_does_not_grow_with_n():
+    """Thm. 3.1: a batch costs O(R·min(T, 1/α)) per vertex. On a graph of
+    n = 10^6 vertices in tiny components, one evaluation batch must
+    allocate far less than n bytes (no per-(v, r) visited array)."""
+    n = 1_000_000
+    edges = np.arange(n, dtype=np.int64).reshape(-1, 2)  # n/2 disjoint edges
+    csr = build_csr(edges, n=n)
+    probs = consistent_probs(csr, 0.5)
+    sk = build_sketches_local(csr, probs, R=4, alpha=0.5)
+    ev = LocalEvaluator(csr, probs, sk)
+    vs = np.flatnonzero(sk.center_index < 0)[:16]
+    tracemalloc.start()
+    try:
+        ev.evaluate(vs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ev.n_visits > 0
+    assert peak < n // 20
+
+
 def test_mark_seed_zeroes_labels(er_setup):
     csr, probs, sk = er_setup
     ev = LocalEvaluator(csr, probs, sk)
     ev.mark_seed(3)
-    for r, labs in ev.zeroed.items():
-        for lab in labs:
-            assert ev.sizes[r, lab] == 0
-            assert sk.sizes[r, lab] > 0  # pristine arrays untouched
+    assert len(ev.zeroed) > 0
+    r, lab = np.divmod(ev.zeroed, sk.rho)
+    assert (ev.sizes[r, lab] == 0).all()
+    assert (sk.sizes[r, lab] > 0).all()  # pristine arrays untouched
 
 
 def test_counters(er_setup):

@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
-from repro.cc.local_cc import bfs_component, cc_labels, cc_sizes
+from repro.cc.local_cc import cc_labels, cc_sizes, sampled_bfs
+from repro.core.sketches import sampled_arcs
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi, grid2d
+from repro.graphs.probs import consistent_probs
 
 
 def _ref_labels(n, us, vs):
@@ -78,10 +80,59 @@ def test_cc_sizes():
 def test_bfs_component_matches_labels(source):
     edges = erdos_renyi(100, 200, seed=3)
     csr = build_csr(edges, n=100)
-    lab = cc_labels(100, edges[:, 0], edges[:, 1])
-    comp = bfs_component(100, csr.neighbors, source)
-    assert sorted(comp) == sorted(np.flatnonzero(lab == lab[source]))
-    assert len(np.unique(comp)) == len(comp)
+    probs = consistent_probs(csr, 0.7)
+    for salt in range(5):
+        keys, hit = sampled_bfs(csr, probs, [0], [source], [salt])
+        us, vs = sampled_arcs(csr, probs, salt)
+        lab = cc_labels(100, us, vs)
+        assert list(keys) == list(np.flatnonzero(lab == lab[source]))
+        assert list(hit) == [-1]
+
+
+def _lane_cases():
+    """(csr, probs, lanes, sources, salts): repeated vertices on different
+    salts, a zero-degree source, and multi-source lanes."""
+    edges = erdos_renyi(60, 110, seed=4)
+    csr = build_csr(edges, n=62)  # vertices 60 and 61 have no arcs
+    probs = consistent_probs(csr, 0.45)
+    lanes = np.array([0, 1, 2, 3, 4, 4, 4, 5, 5, 6])
+    sources = np.array([7, 7, 7, 61, 3, 30, 3, 60, 12, 7])
+    salts = np.array([11, 12, 13, 11, 14, 15, 11])
+    return csr, probs, lanes, sources, salts
+
+
+@pytest.mark.parametrize("with_stop", [False, True])
+def test_lanes_are_independent(with_stop):
+    """A multi-lane call equals the same lanes run one at a time, and each
+    lane's visited set is the union of its sources' sampled components."""
+    csr, probs, lanes, sources, salts = _lane_cases()
+    stop = (lambda x: x % 9 == 0) if with_stop else None
+    keys, hit = sampled_bfs(csr, probs, lanes, sources, salts, stop=stop)
+    lane_of, vert = np.divmod(keys, csr.n)
+    for l, salt in enumerate(salts):
+        own = sources[lanes == l]
+        one_keys, one_hit = sampled_bfs(
+            csr, probs, np.zeros(len(own)), own, [salt], stop=stop
+        )
+        assert list(vert[lane_of == l]) == list(one_keys)
+        assert hit[l] == one_hit[0]
+        if not with_stop:
+            lab = cc_labels(csr.n, *sampled_arcs(csr, probs, int(salt)))
+            want = np.flatnonzero(np.isin(lab, lab[own]))
+            assert list(one_keys) == list(want)
+
+
+def test_stop_halts_at_first_wave_with_a_stop_vertex():
+    # path 0-1-2-3-4 with every arc alive: stop vertices 2 and 4
+    csr = build_csr(np.array([[0, 1], [1, 2], [2, 3], [3, 4]]), n=5)
+    probs = consistent_probs(csr, 1.0)
+    keys, hit = sampled_bfs(csr, probs, [0, 1, 2], [0, 4, 3], [1, 1, 1],
+                            stop=lambda x: (x == 2) | (x == 4))
+    lane, vert = np.divmod(keys, 5)
+    assert list(hit) == [2, 4, 2]  # lane 2 reaches 2 and 4 in one wave
+    assert list(vert[lane == 0]) == [0, 1, 2]
+    assert list(vert[lane == 1]) == [4]
+    assert list(vert[lane == 2]) == [2, 3, 4]
 
 
 def test_grid_single_component():

@@ -117,3 +117,36 @@ def test_quality_beats_random_seeds(graph):
             total += ev.evaluate(np.array([v]))[0]
             ev.mark_seed(int(v))
         assert res["est_influence"] >= total
+
+
+@pytest.mark.parametrize(
+    "change, arg",
+    [
+        ({"probs": "short"}, "probs"),
+        ({"probs": 1.5}, "probs"),
+        ({"probs": -0.1}, "probs"),
+        ({"probs": float("nan")}, "probs"),
+        ({"probs": float("inf")}, "probs"),
+        ({"alpha": 2.0}, "alpha"),
+        ({"alpha": -0.5}, "alpha"),
+        ({"R": 0}, "R"),
+        ({"k": 0}, "k"),
+        ({"k": "n+5"}, "k"),
+    ],
+    ids=["probs-length", "p-above-1", "p-negative", "p-nan", "p-inf",
+         "alpha-2", "alpha-negative", "R-0", "k-0", "k-above-n"],
+)
+def test_rejects_bad_input(change, arg):
+    csr = build_csr(rmat(256, 1400, seed=19), n=256)
+    probs = consistent_probs(csr, 0.1)
+    kw = dict(R=4, alpha=0.2, k=3)
+    for name, value in change.items():
+        if name == "probs":
+            if value == "short":
+                probs = probs[:-1]
+            else:
+                probs[len(probs) // 2] = value
+        else:
+            kw[name] = csr.n + 5 if value == "n+5" else value
+    with pytest.raises(ValueError, match=rf"^{arg}\b"):
+        run_pacim(None, csr, probs, selector="wintree", backend="local", **kw)

@@ -5,10 +5,10 @@ import pytest
 from repro.baselines.ris import (
     RRBudgetExceeded,
     _rr_root,
-    _rr_set,
     choose_theta,
     generate_rr_sets_local,
     greedy_max_cover,
+    rr_sets,
     run_ris,
 )
 from repro.cc.local_cc import cc_labels
@@ -27,10 +27,11 @@ def graph():
 
 def test_rr_set_is_component_of_root(graph):
     csr, probs = graph
+    ids, members = rr_sets(csr, probs, np.arange(10), 0)
     for i in range(10):
         salt = SALT_RR + i
         root = _rr_root(i, 0, csr.n)
-        rr = _rr_set(csr, probs, salt, root)
+        rr = members[ids == i]
         us, vs = sampled_arcs(csr, probs, salt)
         lab = cc_labels(csr.n, us, vs)
         assert sorted(rr) == sorted(np.flatnonzero(lab == lab[root]))

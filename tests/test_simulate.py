@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.simulate import _spread_once, estimate_spread_local
+from repro.baselines.simulate import estimate_spread_local, spread_counts
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.probs import consistent_probs
@@ -92,4 +92,14 @@ def test_spread_once_deterministic():
     csr = build_csr(erdos_renyi(80, 200, seed=5), n=80)
     probs = consistent_probs(csr, 0.3)
     seeds = np.array([1, 2])
-    assert _spread_once(csr, probs, seeds, 7) == _spread_once(csr, probs, seeds, 7)
+    sims = np.array([7, 3, 7])
+    counts = spread_counts(csr, probs, seeds, sims)
+    assert counts[0] == counts[2]
+    assert np.array_equal(counts, spread_counts(csr, probs, seeds, sims))
+    # each count is the size of the seeds' components in that live-edge graph
+    from repro.cc.local_cc import cc_labels
+    from repro.core.sketches import sampled_arcs
+
+    for sim, got in zip(sims, counts):
+        lab = cc_labels(csr.n, *sampled_arcs(csr, probs, SALT_SIM + int(sim)))
+        assert got == np.isin(lab, lab[seeds]).sum()
