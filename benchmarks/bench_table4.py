@@ -8,7 +8,6 @@ re-evaluation, Ripples pays θ RR-set generation + cover.
 """
 import pytest
 
-from repro.baselines.infusermg import run_infusermg
 from repro.baselines.ris import run_ris
 from repro.core.pacim import run_pacim
 from repro.graphs.csr import build_csr
@@ -53,8 +52,9 @@ def test_table4_ours01(benchmark, spark, graph):
 def test_table4_infusermg(benchmark, spark, graph):
     csr, probs = graph
     res = benchmark.pedantic(
-        run_infusermg, args=(spark, csr, probs),
-        kwargs=dict(R=16, k=5, backend="spark", max_eval_jobs=2000),
+        run_pacim, args=(spark, csr, probs),
+        kwargs=dict(R=16, alpha=1.0, k=5, selector="celf", backend="spark",
+                    max_eval_jobs=2000),
         rounds=1, iterations=1,
     )
     _record(benchmark, res)

@@ -2,8 +2,9 @@
 fast and space-efficient parallel influence maximization.
 
 Subpackages: ``graphs`` (generators/CSR/probability models), ``cc``
-(connectivity substrate), ``core`` (compressed sketches + parallel CELF
-— the paper's contribution), ``baselines`` (InfuserMG, StaticGreedy,
-Ripples/RIS, GeneralGreedy, MC oracle), ``eval`` (table harnesses).
+(connectivity kernels), ``core`` (compressed sketches + parallel CELF
+— the paper's contribution; InfuserMG and StaticGreedy are its
+``selector="celf"`` runs at α = 1 and α = 0), ``baselines``
+(Ripples/RIS, GeneralGreedy, MC oracle), ``eval`` (table harnesses).
 See DESIGN.md and EXPERIMENTS.md at the repo root.
 """

@@ -1,178 +1,58 @@
 """P-tree seed selection (paper Alg. 4, Sec. 4.1).
 
-The P-tree of the paper is a joinable balanced BST (PAM). We implement
-the same interface with a size-augmented **treap**: ``split_top(k)``
-(extract the k best-ranked keys — SplitAndRemove) and ``batch_insert``
-(BatchInsert). Priorities are deterministic hashes of the vertex id, so
-the tree shape — and therefore every count the tests assert — is
-reproducible.
+The P-tree of the paper is a joinable balanced BST (PAM). Thms. 4.1/4.2
+depend only on what its two batch operations do, so we emulate it with
+the same ``heapq`` binary heap of ``(-score, vid)`` tuples that CELF
+uses: ``split_top(k)`` pops the k best-ranked entries (SplitAndRemove)
+and ``batch_insert`` pushes entries back (BatchInsert). The rank order
+is the selectors' strict total order, so every count the tests assert
+is reproducible.
 
 The selector extracts prefix-doubling batches of 1, 2, 4, … top stale
 scores, re-evaluates each batch in parallel (one evaluation job), and
-stops once the best true key beats the tree's maximum — evaluating at
-most twice as many vertices as CELF (Thm. 4.2) while finishing each
+stops once the best true key beats the structure's maximum — evaluating
+at most twice as many vertices as CELF (Thm. 4.2) while finishing each
 round in O(log |F_i|) parallel batches instead of |F_i| sequential ones.
 """
 from __future__ import annotations
 
-import sys
+import heapq
 
 import numpy as np
 
-from repro.core.celf import (
-    EvalBudgetExceeded,
-    SelectionResult,
-    _check_budget,
-    key,
-)
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-
-from repro.hashing import splitmix64
-
-
-class _Node:
-    __slots__ = ("score", "vid", "pri", "left", "right", "size")
-
-    def __init__(self, score: float, vid: int):
-        self.score = float(score)
-        self.vid = int(vid)
-        self.pri = int(splitmix64(np.uint64(vid)))
-        self.left: _Node | None = None
-        self.right: _Node | None = None
-        self.size = 1
-
-
-def _sz(t: _Node | None) -> int:
-    return t.size if t is not None else 0
-
-
-def _pull(t: _Node) -> _Node:
-    t.size = 1 + _sz(t.left) + _sz(t.right)
-    return t
-
-
-def _rank_key(t: _Node) -> tuple[float, int]:
-    """Ascending rank order = descending score, ascending id."""
-    return (-t.score, t.vid)
-
-
-def _merge(a: _Node | None, b: _Node | None) -> _Node | None:
-    """Merge treaps where every key in a precedes every key in b."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a.pri > b.pri:
-        a.right = _merge(a.right, b)
-        return _pull(a)
-    b.left = _merge(a, b.left)
-    return _pull(b)
-
-
-def _split_rank(t: _Node | None, k: int):
-    """(first k nodes in rank order, the rest)."""
-    if t is None:
-        return None, None
-    if _sz(t.left) >= k:
-        l, r = _split_rank(t.left, k)
-        t.left = r
-        return l, _pull(t)
-    l, r = _split_rank(t.right, k - _sz(t.left) - 1)
-    t.right = l
-    return _pull(t), r
-
-
-def _split_key(t: _Node | None, rk: tuple[float, int]):
-    """(nodes with rank key < rk, nodes with rank key >= rk)."""
-    if t is None:
-        return None, None
-    if _rank_key(t) < rk:
-        l, r = _split_key(t.right, rk)
-        t.right = l
-        return _pull(t), r
-    l, r = _split_key(t.left, rk)
-    t.left = r
-    return l, _pull(t)
+from repro.core.celf import SelectionResult, _check_budget, key
 
 
 class PTree:
     """Ordered max-structure over (score, vertex-id) with batch ops."""
 
     def __init__(self, scores: np.ndarray | None = None):
-        self.root: _Node | None = None
-        if scores is not None:
-            self._build(scores)
-
-    def _build(self, scores: np.ndarray) -> None:
-        """O(n) Cartesian-tree construction over the sorted key sequence."""
-        order = np.lexsort((np.arange(len(scores)), -scores))
-        stack: list[_Node] = []  # right spine, increasing priority downward
-        for v in order:
-            node = _Node(scores[v], int(v))
-            last: _Node | None = None
-            while stack and stack[-1].pri < node.pri:
-                last = stack.pop()
-            node.left = last
-            if stack:
-                stack[-1].right = node
-            stack.append(node)
-        self.root = stack[0] if stack else None
-        self._fix_sizes(self.root)
-
-    def _fix_sizes(self, t: _Node | None) -> int:
-        if t is None:
-            return 0
-        t.size = 1 + self._fix_sizes(t.left) + self._fix_sizes(t.right)
-        return t.size
+        scores = [] if scores is None else scores
+        self.heap = [(-float(s), v) for v, s in enumerate(scores)]
+        heapq.heapify(self.heap)
 
     def __len__(self) -> int:
-        return _sz(self.root)
+        return len(self.heap)
 
     def max_key(self) -> tuple[float, int]:
-        """Key of the best-ranked element (leftmost node)."""
-        t = self.root
-        if t is None:
+        """Key of the best-ranked element."""
+        if not self.heap:
             raise IndexError("empty tree")
-        while t.left is not None:
-            t = t.left
-        return key(t.score, t.vid)
+        neg, v = self.heap[0]
+        return key(-neg, v)
 
     def split_top(self, k: int) -> list[tuple[int, float]]:
         """SplitAndRemove: extract the k best (vertex, stale score)."""
-        top, rest = _split_rank(self.root, k)
-        self.root = rest
-        out: list[tuple[int, float]] = []
-
-        def collect(t: _Node | None) -> None:
-            if t is None:
-                return
-            collect(t.left)
-            out.append((t.vid, t.score))
-            collect(t.right)
-
-        collect(top)
-        return out
+        top = [heapq.heappop(self.heap) for _ in range(min(k, len(self.heap)))]
+        return [(v, -neg) for neg, v in top]
 
     def batch_insert(self, items: list[tuple[int, float]]) -> None:
         """BatchInsert: add (vertex, score) pairs."""
         for vid, score in items:
-            node = _Node(score, vid)
-            l, r = _split_key(self.root, _rank_key(node))
-            self.root = _merge(_merge(l, node), r)
+            heapq.heappush(self.heap, (-float(score), int(vid)))
 
     def to_sorted_list(self) -> list[tuple[int, float]]:
-        out: list[tuple[int, float]] = []
-
-        def collect(t: _Node | None) -> None:
-            if t is None:
-                return
-            collect(t.left)
-            out.append((t.vid, t.score))
-            collect(t.right)
-
-        collect(self.root)
-        return out
+        return [(v, -neg) for neg, v in sorted(self.heap)]
 
 
 def ptree_select(evaluator, k: int, *, max_jobs: int | None = None) -> SelectionResult:
@@ -214,7 +94,10 @@ def ptree_select(evaluator, k: int, *, max_jobs: int | None = None) -> Selection
         gains=gains,
         n_reevals=evaluator.n_reevals - evals0,
         n_jobs=evaluator.n_jobs - jobs0,
-        # score + id + priority + 2 pointers + size per node, 8B fields
+        # 48 B per node models the paper's PAM P-tree node (score, id,
+        # priority/balance, 2 child pointers, subtree size; 8 B fields),
+        # which Fig. 9 compares against Win-Tree — not the heap that
+        # emulates it here.
         structure_bytes=48 * n,
         extra={"batches_per_round": batch_hist},
     )

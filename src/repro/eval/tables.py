@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.baselines.infusermg import run_infusermg
 from repro.baselines.ris import RRBudgetExceeded, run_ris
 from repro.baselines.simulate import estimate_spread, estimate_spread_local
 from repro.core.celf import EvalBudgetExceeded, celf_select
@@ -138,8 +137,9 @@ def table4_rows(
             selector="wintree", backend="spark",
         )
         try:
-            inf = run_infusermg(
-                spark, csr, probs, R=R, k=k,
+            # InfuserMG: α = 1 full memoization + sequential CELF.
+            inf = run_pacim(
+                spark, csr, probs, R=R, alpha=1.0, k=k, selector="celf",
                 backend="spark", max_eval_jobs=infusermg_budget,
             )
         except EvalBudgetExceeded:

@@ -1,6 +1,7 @@
 """Unit tests for the synthetic graph generators."""
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.graphs.generators import (
     SUITE,
@@ -9,6 +10,7 @@ from repro.graphs.generators import (
     knn_graph,
     rmat,
     suite_graph,
+    to_spark_edges,
 )
 
 GENS = {
@@ -103,3 +105,17 @@ def test_suite_graphs_wellformed(name):
 def test_suite_classes_cover_both():
     classes = {SUITE[g]["cls"] for g in SUITE}
     assert classes == {"scale-free", "sparse"}
+
+
+def test_im_graph_canonical(spark):
+    df = to_spark_edges(spark, suite_graph("ROAD-A")[0])
+    assert df.columns == ["u", "v"]
+    bad = df.where(F.col("u") >= F.col("v")).count()
+    assert bad == 0
+    assert df.count() == 23980
+
+
+def test_im_graph_deterministic(spark):
+    a = to_spark_edges(spark, suite_graph("KNN-A")[0]).toPandas()
+    b = to_spark_edges(spark, suite_graph("KNN-A")[0]).toPandas()
+    assert a.equals(b)

@@ -9,8 +9,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.cc.dataframe_cc import dataframe_cc
-from repro.cc.local_cc import cc_labels
+from repro.cc.local_cc import cc_labels, cc_sizes
 from repro.core.sketches import build_sketches_local, sampled_arcs
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi, to_spark_edges
@@ -83,21 +82,22 @@ def test_sampled_edge_counts_per_sketch(spark, gdata):
 
 def test_cc_size_histogram(spark, gdata):
     """CC-size histogram of a sampled graph: Spark group-by over the
-    distributed CC labels vs DuckDB over the local labels."""
+    local kernel's labels of edge-incident vertices vs DuckDB over the
+    same labels; each component size also matches ``cc_sizes``."""
     edges, csr, probs = gdata
     us, vs = sampled_arcs(csr, probs, SALT_SKETCH + 2)
-    mask = us < vs
     lab_local = cc_labels(csr.n, us, vs)
-    edf = spark.createDataFrame(pd.DataFrame({"u": us[mask], "v": vs[mask]}))
-    lab_df = dataframe_cc(edf)
-    hist = (
-        lab_df.groupBy("label")
-        .agg(F.count("*").alias("cc_size"))
-        .groupBy("cc_size")
-        .agg(F.count("*").alias("n_components"))
-    )
     incident = np.unique(np.concatenate([us, vs]))
     local_pdf = pd.DataFrame({"label": lab_local[incident]})
+    lab_df = spark.createDataFrame(
+        pd.DataFrame({"vid": incident, "label": lab_local[incident]})
+    )
+    sizes = lab_df.groupBy("label").agg(F.count("*").alias("cc_size"))
+    got = sizes.toPandas()
+    assert len(got) > 0
+    want = cc_sizes(lab_local)[got["label"].to_numpy()]
+    assert np.array_equal(got["cc_size"].to_numpy(), want)
+    hist = sizes.groupBy("cc_size").agg(F.count("*").alias("n_components"))
     assert_equivalent(
         hist,
         """

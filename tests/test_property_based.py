@@ -2,7 +2,7 @@
 
 These attack the data structures with random operation sequences and
 compare against trivially correct models — the failure modes unit tests
-with fixed inputs tend to miss (rotation bugs in the treap, stale-flag
+with fixed inputs tend to miss (ordering bugs in the P-tree, stale-flag
 bugs in the tournament tree, hook/compress bugs in CC).
 """
 import numpy as np

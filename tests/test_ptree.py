@@ -1,7 +1,14 @@
-"""Unit tests for the P-tree (treap) and its prefix-doubling selector."""
+"""Unit tests for the P-tree (binary-heap emulation of the paper's PAM
+tree) and its prefix-doubling selector."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.celf import celf_select
 from repro.core.evaluate import LocalEvaluator
 from repro.core.ptree import PTree, ptree_select
@@ -116,3 +123,29 @@ def test_logarithmic_batches_per_round(er_setup):
     assert max(hist) <= int(np.log2(csr.n)) + 1
     r_celf = celf_select(LocalEvaluator(csr, probs, sk), 10)
     assert r_pt.n_jobs <= r_celf.n_jobs
+
+
+def test_pinned_counts(er_setup):
+    """Seeds and Table 5 counts on a fixed input, as literals: the
+    structure behind the P-tree may change, these may not."""
+    csr, probs, sk = er_setup
+    r = ptree_select(LocalEvaluator(csr, probs, sk), 10)
+    assert r.seeds == [156, 55, 158, 149, 129, 174, 124, 128, 89, 1]
+    assert r.n_reevals == 156
+    assert r.n_jobs == 31
+    assert r.extra["batches_per_round"] == [1, 3, 5, 5, 3, 3, 1, 6, 3, 1]
+
+
+def test_import_leaves_recursion_limit():
+    """Importing the pipeline must not change process-wide settings."""
+    code = (
+        "import sys; before = sys.getrecursionlimit(); "
+        "import repro.core.pacim; print(before, sys.getrecursionlimit())"
+    )
+    src = str(Path(repro.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout.split()
+    assert out[0] == out[1]
